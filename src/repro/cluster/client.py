@@ -1327,9 +1327,7 @@ class ClusterClient:
                              self.kernel.now - prepare_started,
                              colour=str(colour))
         if vote != "commit":
-            if self.node.wal.last(
-                "coord_abort", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is None:
+            if self.node.wal.last("coord_abort", txn_id=txn_id) is None:
                 self.node.wal.append("coord_abort", txn_id=txn_id)
                 self._note_txn(txn_id, "decided")
             if self.obs is not None:
@@ -1343,9 +1341,7 @@ class ClusterClient:
                 span.set(outcome="aborted").finish()
             yield from self._abort_round(txn_id, plain)
             return None
-        if self.node.wal.last(
-            "coord_commit", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is None:
+        if self.node.wal.last("coord_commit", txn_id=txn_id) is None:
             self.node.wal.append("coord_commit", txn_id=txn_id)
             self._note_txn(txn_id, "decided")
         # lazily acknowledge the delegate's COMMITTED record on the next

@@ -595,9 +595,7 @@ class ObjectServer:
             self.forgotten.add(old_txn)
         action_uid = decode_uid(payload["action_uid"])
         colour = decode_colour(payload["colour"])
-        if self.node.wal.last(
-            "committed", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is not None:
+        if self.node.wal.last("committed", txn_id=txn_id) is not None:
             # Retransmission-safe piggyback: a retried prepare under a
             # fresh rpc id (reaper redelivery, a client retry after a lost
             # reply — possibly in a later epoch) finds the durable commit
@@ -624,9 +622,7 @@ class ObjectServer:
                 f"{expected_epoch}); uncommitted state was lost"
             ))
             return
-        if self.node.wal.last(
-            "aborted", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is not None:
+        if self.node.wal.last("aborted", txn_id=txn_id) is not None:
             # Presumed abort: the coordinator's txn_abort already landed
             # here — this prepare is a straggler (its spawn raced the
             # abort decision).  Voting rollback instead of preparing keeps
@@ -931,9 +927,7 @@ class ObjectServer:
         info = self.prepared.pop(txn_id, None)
         if info is None:
             # Either recovered already, or duplicate decision: consult the log.
-            if self.node.wal.last(
-                "committed", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
+            if self.node.wal.last("committed", txn_id=txn_id) is not None:
                 respond(True, self._ok({"applied": False}))
                 return
             info = self._prepared_from_log(txn_id)
@@ -964,9 +958,8 @@ class ObjectServer:
             for object_uid in info["object_uids"]:
                 self.in_doubt_objects.discard(object_uid)
         self.in_doubt_txns.pop(txn_id, None)
-        if self.node.wal.last(
-            "aborted", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is None:  # reaper retries use fresh rpc ids; log once
+        # reaper retries use fresh rpc ids; log once
+        if self.node.wal.last("aborted", txn_id=txn_id) is None:
             self.node.wal.append("aborted", txn_id=txn_id)
         if self.obs is not None:
             self.obs.emit("twopc.abort", txn=txn_id, node=self.node.name)
@@ -982,19 +975,12 @@ class ObjectServer:
         a lost deferral costs nothing but another query).
         """
         txn_id = message.payload["txn_id"]
-        committed = self.node.wal.last(
-            "coord_commit", where=lambda r: r.payload["txn_id"] == txn_id
-        )
+        committed = self.node.wal.last("coord_commit", txn_id=txn_id)
         if committed is None:
-            if self.node.wal.last(
-                "coord_abort", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
+            if self.node.wal.last("coord_abort", txn_id=txn_id) is not None:
                 decision = "abort"
             else:
-                delegated = self.node.wal.last(
-                    "coord_delegated",
-                    where=lambda r: r.payload["txn_id"] == txn_id,
-                )
+                delegated = self.node.wal.last("coord_delegated", txn_id=txn_id)
                 if delegated is not None:
                     self.node.spawn(
                         self._answer_after_delegate(
@@ -1027,13 +1013,9 @@ class ObjectServer:
         delegated prepare).  Idempotent across concurrent resolvers.
         """
         while True:
-            if self.node.wal.last(
-                "coord_commit", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
+            if self.node.wal.last("coord_commit", txn_id=txn_id) is not None:
                 return "commit"
-            if self.node.wal.last(
-                "coord_abort", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is not None:
+            if self.node.wal.last("coord_abort", txn_id=txn_id) is not None:
                 return "abort"
             try:
                 reply = yield from self.transport.call(
@@ -1045,9 +1027,7 @@ class ObjectServer:
                 continue
             decision = reply["decision"]
             kind = "coord_commit" if decision == "commit" else "coord_abort"
-            if self.node.wal.last(
-                kind, where=lambda r: r.payload["txn_id"] == txn_id
-            ) is None:
+            if self.node.wal.last(kind, txn_id=txn_id) is None:
                 self.node.wal.append(kind, txn_id=txn_id)
             return decision
 
@@ -1061,15 +1041,11 @@ class ObjectServer:
         guard instead of committing a transaction already reported aborted.
         """
         txn_id = message.payload["txn_id"]
-        if self.node.wal.last(
-            "committed", where=lambda r: r.payload["txn_id"] == txn_id
-        ) is not None:
+        if self.node.wal.last("committed", txn_id=txn_id) is not None:
             decision = "commit"
         else:
             decision = "abort"
-            if self.node.wal.last(
-                "aborted", where=lambda r: r.payload["txn_id"] == txn_id
-            ) is None:
+            if self.node.wal.last("aborted", txn_id=txn_id) is None:
                 self.node.wal.append("aborted", txn_id=txn_id)
         if self.obs is not None:
             self.obs.emit("twopc.decision_query", txn=txn_id,
@@ -1105,9 +1081,7 @@ class ObjectServer:
             mirror.drop_colour(colour)
 
     def _prepared_from_log(self, txn_id: str) -> Optional[Dict[str, Any]]:
-        record = self.node.wal.last(
-            "prepared", where=lambda r: r.payload["txn_id"] == txn_id
-        )
+        record = self.node.wal.last("prepared", txn_id=txn_id)
         if record is None:
             return None
         return {

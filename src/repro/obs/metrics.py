@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 #: labels are carried as a sorted tuple of (key, value) pairs — hashable,
 #: deterministic, JSON-friendly.
@@ -141,6 +141,28 @@ class Histogram:
         return summary
 
 
+class MetricsJournal:
+    """The series looked up under some watched names since the last drain.
+
+    Consumers that summarise a few metrics on every tick (the time-series
+    sampler, the SLO engine) read only what changed instead of scanning
+    every series: ``touched`` maps ``(kind, name, labels)`` to the live
+    instrument, in first-lookup order, so a series made since the last
+    drain appears in registry insertion order.  ``cleared`` says that
+    :meth:`MetricsRegistry.clear` dropped every instrument since then; the
+    entries name only series made after the clear.  Instruments are
+    mutated right after their lookup, so a drained series holds its new
+    value.  Obtain one from :meth:`MetricsRegistry.watch`, read it with
+    :meth:`MetricsRegistry.drain`.
+    """
+
+    __slots__ = ("touched", "cleared")
+
+    def __init__(self):
+        self.touched: Dict[Tuple[str, str, LabelSet], Any] = {}
+        self.cleared = False
+
+
 class MetricsRegistry:
     """All instruments of one observed system, keyed by (name, labels)."""
 
@@ -159,8 +181,10 @@ class MetricsRegistry:
         self._instruments: Dict[str, Dict[str, Dict[LabelSet, Any]]] = {
             kind: {} for kind in self._KINDS
         }
-        #: (kind, name) -> how many label sets were folded into overflow
-        self._folded: Dict[Tuple[str, str], int] = {}
+        #: (kind, name) -> the label sets folded into overflow
+        self._folded: Dict[Tuple[str, str], Set[LabelSet]] = {}
+        #: watched name -> the journals recording its lookups
+        self._journals: Dict[str, List[MetricsJournal]] = {}
 
     def now(self) -> float:
         """The registry's clock (simulated time when given a tick source)."""
@@ -189,14 +213,44 @@ class MetricsRegistry:
                 if cap is not None and key and len(per_name) >= cap:
                     # fold new label sets into one overflow series per label
                     # *shape*, keeping keys so cross-label sums stay exact.
+                    self._folded.setdefault((kind, name), set()).add(key)
                     key = tuple((k, OVERFLOW_LABEL) for k, _ in key)
                     instrument = per_name.get(key)
-                    self._folded[(kind, name)] = (
-                        self._folded.get((kind, name), 0) + 1)
                 if instrument is None:
                     instrument = self._KINDS[kind]()
                     per_name[key] = instrument
+            journals = self._journals.get(name)
+            if journals:
+                entry = (kind, name, key)
+                for journal in journals:
+                    journal.touched[entry] = instrument
             return instrument
+
+    # -- change journals -------------------------------------------------------
+
+    def watch(self, *names: str) -> MetricsJournal:
+        """Journal every lookup under ``names`` from now on.
+
+        The journal starts out holding the series that already exist under
+        those names, so its first drain sees the whole current state.
+        """
+        journal = MetricsJournal()
+        with self._mutex:
+            for name in names:
+                self._journals.setdefault(name, []).append(journal)
+            for kind, per_kind in self._instruments.items():
+                for name in names:
+                    for key, instrument in per_kind.get(name, {}).items():
+                        journal.touched[(kind, name, key)] = instrument
+        return journal
+
+    def drain(self, journal: MetricsJournal,
+              ) -> Tuple[bool, Dict[Tuple[str, str, LabelSet], Any]]:
+        """``(cleared, touched)`` since the last drain; empties ``journal``."""
+        with self._mutex:
+            drained = journal.cleared, journal.touched
+            journal.cleared, journal.touched = False, {}
+        return drained
 
     # -- queries ---------------------------------------------------------------
 
@@ -234,11 +288,11 @@ class MetricsRegistry:
             # synthetic accounting rows: how many label sets each capped
             # metric folded into its overflow series (absent when no cap or
             # no overflow, keeping uncapped dumps byte-identical).
-            for (kind, name), folds in sorted(self._folded.items()):
+            for (kind, name), folded in sorted(self._folded.items()):
                 out["counters"].append({
                     "name": "metrics_series_folded_total",
                     "labels": {"kind": kind, "metric": name},
-                    "value": float(folds),
+                    "value": float(len(folded)),
                 })
             return out
 
@@ -247,6 +301,10 @@ class MetricsRegistry:
             for per_kind in self._instruments.values():
                 per_kind.clear()
             self._folded.clear()
+            for journals in self._journals.values():
+                for journal in journals:
+                    journal.touched.clear()
+                    journal.cleared = True
 
     def series_count(self) -> int:
         """Total number of live instruments across every metric."""

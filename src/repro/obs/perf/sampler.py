@@ -7,6 +7,11 @@ throughput over the interval (counter deltas), latency quantiles of the
 lock-wait and 2PC-prepare histograms, and whatever gauges the owner probed
 in (in-doubt object counts, live mirrors, pending RPCs).
 
+Each point costs time in proportion to the series touched since the
+previous one, not to the run's history: the sampler drains a
+:class:`~repro.obs.metrics.MetricsJournal` of its metrics and revisits
+only the label sets and colours in it.
+
 Everything is derived from the metrics registry and the sim clock, so the
 timeline of a seeded run is bit-for-bit reproducible — unless the opt-in
 ``process_probes`` are on, which add host-interpreter GC/allocation
@@ -21,6 +26,8 @@ from __future__ import annotations
 import gc
 import sys
 from typing import Any, Callable, Dict, List, Tuple
+
+from repro.obs.metrics import Histogram, LabelSet
 
 #: counters summarised per colour at each point (label -> metric name)
 _COLOUR_COUNTERS = (
@@ -62,8 +69,15 @@ class TimeSeriesSampler:
         self._timer = None
         self._probes: List[Tuple[str, Callable[[], float]]] = []
         self._point_listeners: List[Callable[[Dict[str, Any]], None]] = []
-        #: (metric, colour) -> cumulative value at the previous point
-        self._last_counts: Dict[Tuple[str, str], float] = {}
+        #: (counter metric, labels) -> cumulative value at the previous point
+        self._last_counts: Dict[Tuple[str, LabelSet], float] = {}
+        #: (histogram metric, colour) -> (count, sum) at the previous point
+        self._last_histograms: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        #: histogram metric -> colour -> labels -> histogram, registry order
+        self._histograms: Dict[str, Dict[str, Dict[LabelSet, Histogram]]] = {
+            metric: {} for _, metric in _COLOUR_HISTOGRAMS}
+        self._journal = hub.metrics.watch(
+            *(metric for _, metric in _COLOUR_COUNTERS + _COLOUR_HISTOGRAMS))
         hub.sampler = self
 
     # -- wiring ---------------------------------------------------------------
@@ -99,47 +113,8 @@ class TimeSeriesSampler:
 
     def sample(self) -> Dict[str, Any]:
         """Take one point now (also callable manually, e.g. at run end)."""
-        metrics = self.hub.metrics
         point: Dict[str, Any] = {"tick": self.hub.now()}
-        colours: Dict[str, Dict[str, Any]] = {}
-        for key, metric in _COLOUR_COUNTERS:
-            for labels, instrument in sorted(
-                    metrics.series(metric), key=lambda kv: sorted(kv[0].items())):
-                colour = labels.get("colour")
-                if colour is None:
-                    continue
-                total = instrument.value
-                last = self._last_counts.get((metric, colour), 0.0)
-                self._last_counts[(metric, colour)] = total
-                delta = total - last
-                if delta:
-                    row = colours.setdefault(colour, {})
-                    row[key] = row.get(key, 0.0) + delta
-        for key, metric in _COLOUR_HISTOGRAMS:
-            merged: Dict[str, List] = {}
-            for labels, histogram in metrics.series(metric):
-                colour = labels.get("colour")
-                if colour is None:
-                    continue
-                merged.setdefault(colour, []).append(histogram)
-            for colour, histograms in sorted(merged.items()):
-                count = sum(h.count for h in histograms)
-                total = sum(h.total for h in histograms)
-                last = self._last_counts.get((metric, colour), 0.0)
-                last_sum = self._last_counts.get((metric + "/sum", colour), 0.0)
-                self._last_counts[(metric, colour)] = count
-                self._last_counts[(metric + "/sum", colour)] = total
-                if count == last:
-                    continue  # no new samples this interval: stay compact
-                row = colours.setdefault(colour, {})
-                row[f"{key}_count"] = count - last
-                # window mean: exact over just this interval's observations
-                row[f"{key}_mean"] = (total - last_sum) / (count - last)
-                # cumulative quantiles over the widest labelled series —
-                # cheap, deterministic, and good enough for a trend line
-                widest = max(histograms, key=lambda h: h.count)
-                row[f"{key}_p50"] = widest.percentile(50)
-                row[f"{key}_p95"] = widest.percentile(95)
+        colours = self._colour_rows()
         if colours:
             point["colours"] = {c: colours[c] for c in sorted(colours)}
         if self._probes:
@@ -153,6 +128,56 @@ class TimeSeriesSampler:
         if len(self.points) >= self.max_points:
             self._decimate()
         return point
+
+    def _colour_rows(self) -> Dict[str, Dict[str, Any]]:
+        """Per-colour counter deltas and histogram stats since the last
+        point, from the series looked up since then."""
+        cleared, touched = self.hub.metrics.drain(self._journal)
+        if cleared:
+            for per_colour in self._histograms.values():
+                per_colour.clear()
+        #: metric -> the colour-labelled series looked up since the last point
+        changed: Dict[str, List[Tuple[LabelSet, str, Any]]] = {}
+        for (_kind, metric, labels), instrument in touched.items():
+            colour = dict(labels).get("colour")
+            if colour is not None:
+                changed.setdefault(metric, []).append(
+                    (labels, colour, instrument))
+        colours: Dict[str, Dict[str, Any]] = {}
+        for key, metric in _COLOUR_COUNTERS:
+            for labels, colour, counter in sorted(changed.get(metric, ()),
+                                                  key=lambda row: row[0]):
+                total = counter.value
+                last = self._last_counts.get((metric, labels), 0.0)
+                self._last_counts[(metric, labels)] = total
+                delta = total - last
+                if delta:
+                    row = colours.setdefault(colour, {})
+                    row[key] = row.get(key, 0.0) + delta
+        for key, metric in _COLOUR_HISTOGRAMS:
+            per_colour = self._histograms[metric]
+            for labels, colour, histogram in changed.get(metric, ()):
+                per_colour.setdefault(colour, {})[labels] = histogram
+            for colour in sorted({colour for _, colour, _ in
+                                  changed.get(metric, ())}):
+                histograms = list(per_colour[colour].values())
+                count = sum(h.count for h in histograms)
+                total = sum(h.total for h in histograms)
+                last, last_sum = self._last_histograms.get(
+                    (metric, colour), (0.0, 0.0))
+                self._last_histograms[(metric, colour)] = (count, total)
+                if count == last:
+                    continue  # no new samples this interval: stay compact
+                row = colours.setdefault(colour, {})
+                row[f"{key}_count"] = count - last
+                # window mean: exact over just this interval's observations
+                row[f"{key}_mean"] = (total - last_sum) / (count - last)
+                # cumulative quantiles over the widest labelled series —
+                # cheap, deterministic, and good enough for a trend line
+                widest = max(histograms, key=lambda h: h.count)
+                row[f"{key}_p50"] = widest.percentile(50)
+                row[f"{key}_p95"] = widest.percentile(95)
+        return colours
 
     @staticmethod
     def _process_sample() -> Dict[str, float]:

@@ -3,7 +3,12 @@
 The engine rides the :class:`~repro.obs.perf.sampler.TimeSeriesSampler` —
 every sampled point triggers one *frame*: cumulative measures are read
 from the metrics registry, appended to a bounded per-objective history,
-and each objective's short and long windows are re-evaluated.
+and each objective's short and long windows are re-evaluated.  A measure
+is a left fold over the objective's series in registry order, kept per
+series; a frame drains a :class:`~repro.obs.metrics.MetricsJournal` and
+redoes each fold only from the earliest series touched since the last
+frame, so the sums stay bit-identical to a full scan at a cost set by
+what changed, not by how many series the run has made.
 
 A breach opens when **both** windows burn past the objective's threshold
 (one noisy interval cannot page; a sustained regression pages within
@@ -22,8 +27,9 @@ and every breach lands in a bounded ledger that travels in
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import LabelSet
 from repro.obs.slo.objectives import Objective, default_objectives
 
 #: ledger entries retained per engine; older breaches are dropped counted
@@ -36,6 +42,86 @@ POINT_PREFIXES = {
     "twopc_prepare_time": "twopc_prepare",
     "commit_latency": "commit_latency",
 }
+
+
+def _sum_values(acc: Tuple, key: LabelSet, series) -> Tuple:
+    return (acc[0] + series.value,)
+
+
+def _sum_histograms(acc: Tuple, key: LabelSet, series) -> Tuple:
+    return (acc[0] + series.count, acc[1] + series.total)
+
+
+def _worst_gauge(acc: Tuple, key: LabelSet, series) -> Tuple:
+    if series.value > acc[0]:
+        return (series.value, dict(key).get("node", ""))
+    return acc
+
+
+class _Fold:
+    """One part of a measure: a left fold over matching series in
+    registry order, with the running value kept after every series so a
+    change to series ``i`` only redoes the fold from ``i`` on.
+
+    Float sums depend on their order, so a running total fed by deltas
+    would drift from a scan in the last bits; the fold keeps the scan's
+    order and so its exact value.
+    """
+
+    __slots__ = ("step", "initial", "colour", "series", "positions",
+                 "running", "dirty")
+
+    def __init__(self, step: Callable, initial: Tuple, colour: str = ""):
+        self.step = step
+        self.initial = initial
+        #: only series labelled with this colour count (all when empty)
+        self.colour = colour
+        self.reset()
+
+    def reset(self) -> None:
+        self.series: List[Tuple[LabelSet, Any]] = []
+        self.positions: Dict[LabelSet, int] = {}
+        self.running: List[Tuple] = []
+        #: earliest position touched since the fold was last read
+        self.dirty: Optional[int] = None
+
+    def touch(self, key: LabelSet, instrument) -> None:
+        position = self.positions.get(key)
+        if position is None:
+            if self.colour and dict(key).get("colour") != self.colour:
+                return
+            position = self.positions[key] = len(self.series)
+            self.series.append((key, instrument))
+        if self.dirty is None or position < self.dirty:
+            self.dirty = position
+
+    def value(self) -> Tuple:
+        if self.dirty is not None:
+            del self.running[self.dirty:]
+            acc = self.running[-1] if self.running else self.initial
+            for key, instrument in self.series[self.dirty:]:
+                acc = self.step(acc, key, instrument)
+                self.running.append(acc)
+            self.dirty = None
+        return self.running[-1] if self.running else self.initial
+
+
+def _folds(objective: Objective) -> List[Tuple[str, _Fold]]:
+    """(metric, fold) per part of ``objective``'s measure tuple."""
+    colour = objective.colour
+    if objective.kind == "latency":
+        return [(objective.metric,
+                 _Fold(_sum_histograms, (0.0, 0.0), colour))]
+    if objective.kind == "abort_rate":
+        return [(metric, _Fold(_sum_values, (0.0,), colour))
+                for metric in ("actions_aborted_total",
+                               "actions_committed_total")]
+    if objective.kind == "zero":
+        # an integer start: over no series the measure is 0, not 0.0,
+        # and ledgers and dumps print it that way
+        return [(objective.metric, _Fold(_sum_values, (0,)))]
+    return [(objective.metric or "cluster_health",
+             _Fold(_worst_gauge, (0.0, "")))]
 
 
 class SLOEngine:
@@ -60,7 +146,18 @@ class SLOEngine:
             objective.name: deque(maxlen=objective.long_window + 1)
             for objective in self.objectives
         }
+        #: objective name -> the folds making up its measure tuple
+        self._measures: Dict[str, List[_Fold]] = {}
+        #: metric -> the folds reading it
+        self._readers: Dict[str, List[_Fold]] = {}
+        for objective in self.objectives:
+            parts = self._measures[objective.name] = []
+            for metric, fold in _folds(objective):
+                parts.append(fold)
+                self._readers.setdefault(metric, []).append(fold)
+        self._journal = None
         if hub is not None:
+            self._journal = hub.metrics.watch(*self._readers)
             hub.slo = self
 
     # -- wiring ---------------------------------------------------------------
@@ -76,43 +173,18 @@ class SLOEngine:
     # -- measurement -----------------------------------------------------------
 
     def _measure(self) -> Dict[str, Tuple]:
-        """Cumulative measures per objective, straight from the registry."""
-        metrics = self.hub.metrics
-        out: Dict[str, Tuple] = {}
-        for objective in self.objectives:
-            if objective.kind == "latency":
-                count = total = 0.0
-                for labels, histogram in metrics.series(objective.metric):
-                    if objective.colour and \
-                            labels.get("colour") != objective.colour:
-                        continue
-                    count += histogram.count
-                    total += histogram.total
-                out[objective.name] = (count, total)
-            elif objective.kind == "abort_rate":
-                pair = []
-                for metric in ("actions_aborted_total",
-                               "actions_committed_total"):
-                    value = 0.0
-                    for labels, counter in metrics.series(metric):
-                        if objective.colour and \
-                                labels.get("colour") != objective.colour:
-                            continue
-                        value += counter.value
-                    pair.append(value)
-                out[objective.name] = tuple(pair)
-            elif objective.kind == "zero":
-                out[objective.name] = (sum(
-                    counter.value
-                    for _, counter in metrics.series(objective.metric)),)
-            else:  # health
-                worst, node = 0.0, ""
-                for labels, gauge in metrics.series(
-                        objective.metric or "cluster_health"):
-                    if gauge.value > worst:
-                        worst, node = gauge.value, labels.get("node", "")
-                out[objective.name] = (worst, node)
-        return out
+        """Cumulative measures per objective, refolded from the series
+        looked up since the last frame."""
+        cleared, touched = self.hub.metrics.drain(self._journal)
+        if cleared:
+            for folds in self._readers.values():
+                for fold in folds:
+                    fold.reset()
+        for (_kind, metric, key), instrument in touched.items():
+            for fold in self._readers[metric]:
+                fold.touch(key, instrument)
+        return {name: tuple(part for fold in folds for part in fold.value())
+                for name, folds in self._measures.items()}
 
     # -- evaluation ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ backend; the asyncio arm uses a small ``time_scale`` so the whole module
 stays a few wall seconds.
 """
 
+import gc
 import random
 
 import pytest
@@ -307,7 +308,12 @@ def test_faulty_network_invariants_on_both_backends():
 def test_asyncio_seeded_runs_are_outcome_stable():
     """Scheduling jitter must not leak into logical outcomes: the same
     fault-free seeded workload yields the same result dict run-to-run."""
+    # the lock-wait bound is 60 units = 120 ms of wall time here; a full
+    # collection of garbage left by earlier tests (~60 ms with the whole
+    # suite loaded) must not land inside a lock hold, so take it now
+    gc.collect()
     first = concurrent_contention(aio(), seed=23)
+    gc.collect()
     second = concurrent_contention(aio(), seed=23)
     assert first == second, (first, second)
     assert first["findings"] == []

@@ -1,5 +1,6 @@
 """Metrics primitives: counters, gauges, histogram percentiles, dumps."""
 
+import sys
 import threading
 
 import pytest
@@ -114,6 +115,41 @@ def test_registry_thread_safety_under_contention():
     for thread in threads:
         thread.join()
     assert registry.value("hits", worker="shared") == 2000
+
+
+def test_journal_misses_no_lookup_under_thread_contention():
+    registry = MetricsRegistry()
+    journal = registry.watch("hits")
+    seen = set()
+    stop = threading.Event()
+
+    def hammer(worker):
+        for index in range(300):
+            registry.counter("hits", worker=worker, n=index % 50).inc()
+
+    def drain():
+        while not stop.is_set():
+            seen.update(registry.drain(journal)[1])
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drainer = threading.Thread(target=drain)
+        drainer.start()
+        threads = [threading.Thread(target=hammer, args=(f"w{i}",))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        stop.set()
+        drainer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not drainer.is_alive()
+    assert not any(thread.is_alive() for thread in threads)
+    seen.update(registry.drain(journal)[1])
+    assert len(seen) == registry.series_count() == 4 * 50
 
 
 def test_event_bus_isolates_subscriber_errors():

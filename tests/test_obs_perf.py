@@ -112,6 +112,19 @@ def test_sampler_records_per_colour_deltas_and_gauges():
     assert saw_gauges
 
 
+def test_sampler_deltas_keep_one_baseline_per_label_set():
+    # one colour counted under two label sets: each series keeps its own
+    # baseline, so neither hides the other's increments
+    hub = Observability()
+    sampler = TimeSeriesSampler(hub, interval=1.0)
+    hub.count("actions_committed_total", colour="c", node="a")
+    hub.count("actions_committed_total", colour="c", node="b")
+    assert sampler.sample()["colours"] == {"c": {"committed": 2.0}}
+    hub.count("actions_committed_total", colour="c", node="a")
+    assert sampler.sample()["colours"] == {"c": {"committed": 1.0}}
+    assert "colours" not in sampler.sample()
+
+
 def test_sampler_decimates_at_max_points():
     hub = Observability()
     sampler = TimeSeriesSampler(hub, interval=1.0, max_points=8)

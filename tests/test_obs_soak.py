@@ -108,14 +108,17 @@ def test_metrics_cap_folds_overflow_series_preserving_sums():
     registry = MetricsRegistry(max_series_per_metric=2)
     for index in range(6):
         registry.counter("ops_total", colour=f"c{index}").inc(1.0)
+    # an over-cap label set seen again folds again but is counted once
+    for _ in range(3):
+        registry.counter("ops_total", colour="c5").inc(1.0)
     rows = registry.dump()["counters"]
     ops = [row for row in rows if row["name"] == "ops_total"]
     # two real series plus one overflow series, sums exact
     assert len(ops) == 3
-    assert sum(row["value"] for row in ops) == 6.0
+    assert sum(row["value"] for row in ops) == 9.0
     overflow = [row for row in ops
                 if row["labels"] == {"colour": OVERFLOW_LABEL}]
-    assert overflow[0]["value"] == 4.0
+    assert overflow[0]["value"] == 7.0
     folded = [row for row in rows
               if row["name"] == "metrics_series_folded_total"]
     assert folded == [{"name": "metrics_series_folded_total",
