@@ -1,9 +1,13 @@
 """Messages and wire encoding of colours and action contexts.
 
-The simulated network deep-copies payloads, so nothing structured survives
-by reference — colours and action ancestry cross the wire as plain dicts,
-and the receiving server reconstructs them.  This mirrors what a real
-distributed Arjuna would marshal into RPC parameters.
+Payloads must be plain data (``str``, ``int``, ``float``, ``bool``,
+``None``, ``bytes`` and dicts, lists, tuples and sets of those): the
+simulated network encodes each payload once with ``marshal`` and every
+delivered copy decodes fresh objects, so nothing structured survives by
+reference.  Colours and action ancestry therefore cross the wire as plain
+dicts built by the encoders below, and the receiving server reconstructs
+them.  This mirrors what a real distributed Arjuna would marshal into RPC
+parameters.
 """
 
 from __future__ import annotations

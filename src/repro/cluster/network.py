@@ -5,17 +5,23 @@ messages are assumed to be detected and dropped by checksums, so corruption
 is folded into loss.  Nodes that are crashed or partitioned away receive
 nothing — silently, as a real network gives no receipt.
 
-Payloads are **deep-copied at send time**: sender and receiver can never
-share mutable state by accident, keeping the simulation honest about
-distribution.
+Payloads are **plain data** — ``str``, ``int``, ``float``, ``bool``,
+``None``, ``bytes`` and ``dict``/``list``/``tuple``/``set`` of those — and
+``marshal`` is the network's wire codec: :meth:`Network.send` encodes a
+payload once and every delivered copy decodes its own fresh objects from
+those bytes.  Sender and receiver (and the two copies of a duplicated
+message) can therefore never share mutable state, which keeps the
+simulation honest about distribution.  A payload the codec cannot encode
+(a ``Uid``, a ``Colour``, an enum) is rejected with :class:`ClusterError`
+before the send counts or draws its fate.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
+import marshal
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.cluster.message import Message
 from repro.errors import ClusterError
@@ -92,10 +98,10 @@ class Network:
         self._partitions.clear()
 
     def is_reachable(self, src: str, dst: str) -> bool:
-        return (
-            self._up.get(dst, False)
-            and frozenset((src, dst)) not in self._partitions
-        )
+        if not self._up.get(dst, False):
+            return False
+        return (not self._partitions
+                or frozenset((src, dst)) not in self._partitions)
 
     # -- sending -----------------------------------------------------------------
 
@@ -104,11 +110,12 @@ class Network:
 
     def send(self, message: Message) -> None:
         """Fire-and-forget: schedule delivery, subject to the fault model."""
+        if message.dst not in self._endpoints:
+            raise ClusterError(f"message to unknown endpoint {message.dst}")
+        wire = _encode(message)
         self.sent_count += 1
         if self.obs is not None:
             self.obs.count("messages_sent_total", kind=message.kind)
-        if message.dst not in self._endpoints:
-            raise ClusterError(f"message to unknown endpoint {message.dst}")
         # Both draws happen unconditionally: the old ``elif`` consumed the
         # duplicate draw only when the drop draw failed, which entangled
         # the two probabilities' RNG streams (changing one config knob
@@ -130,11 +137,11 @@ class Network:
             return
         for _ in range(copies):
             delay = self.rng.uniform(self.config.min_delay, self.config.max_delay)
-            # Payload copied at send time: the receiver sees the message as
-            # it was when sent, never a later mutation.
+            # Each copy decodes the bytes encoded at send time: the receiver
+            # sees the message as it was when sent, never a later mutation.
             frozen = Message(
                 src=message.src, dst=message.dst, kind=message.kind,
-                payload=copy.deepcopy(message.payload),
+                payload=marshal.loads(wire),
                 msg_id=message.msg_id, reply_to=message.reply_to,
             )
             self.kernel.schedule(delay, self._deliver, frozen)
@@ -161,3 +168,42 @@ class Network:
             "dropped": self.dropped_count,
             "duplicated": self.duplicated_count,
         }
+
+
+# -- wire codec ----------------------------------------------------------------
+
+_CONTAINERS = (dict, list, tuple, set, frozenset)
+
+
+def _encode(message: Message) -> bytes:
+    """The payload's wire bytes; ClusterError if it is not plain data."""
+    try:
+        return marshal.dumps(message.payload)
+    except ValueError as error:
+        try:
+            culprit = _first_unplain(message.payload)
+        except RecursionError:
+            culprit = None
+        what = (f"type {culprit.__name__}" if culprit is not None
+                else str(error))
+        raise ClusterError(
+            f"{message.kind!r} payload is not plain wire data: {what}"
+        ) from None
+
+
+def _first_unplain(value: Any) -> Optional[type]:
+    """The type of the first value ``marshal`` refuses, depth first."""
+    kind = type(value)
+    if kind not in _CONTAINERS:
+        try:
+            marshal.dumps(value)
+        except ValueError:
+            return kind
+        return None
+    items = value.items() if kind is dict else ((item,) for item in value)
+    for group in items:
+        for item in group:
+            culprit = _first_unplain(item)
+            if culprit is not None:
+                return culprit
+    return None

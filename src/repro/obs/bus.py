@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -30,26 +30,32 @@ Subscriber = Callable[[ObsEvent], None]
 
 
 class EventBus:
-    """Synchronous fan-out of ObsEvents to subscribers (thread-safe)."""
+    """Synchronous fan-out of ObsEvents to subscribers (thread-safe).
+
+    The subscriber list is a copy-on-write tuple: (un)subscribing swaps in
+    a new tuple under the mutex, so :meth:`publish` reads one snapshot
+    without locking, and a fan-out in progress never sees a change made
+    during it.
+    """
 
     def __init__(self):
         self._mutex = threading.Lock()
-        self._subscribers: List[Subscriber] = []
+        self._subscribers: Tuple[Subscriber, ...] = ()
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         with self._mutex:
-            self._subscribers.append(subscriber)
+            self._subscribers += (subscriber,)
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         with self._mutex:
-            if subscriber in self._subscribers:
-                self._subscribers.remove(subscriber)
+            subscribers = list(self._subscribers)
+            if subscriber in subscribers:
+                subscribers.remove(subscriber)
+                self._subscribers = tuple(subscribers)
 
     def publish(self, event: ObsEvent) -> None:
-        with self._mutex:
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
+        for subscriber in self._subscribers:
             try:
                 subscriber(event)
             except Exception:

@@ -30,6 +30,10 @@ OVERFLOW_LABEL = "__overflow__"
 
 
 def _labelset(labels: Dict[str, Any]) -> LabelSet:
+    if len(labels) == 1:
+        # most lookups carry one label (``kind``, ``node``): nothing to sort
+        ((key, value),) = labels.items()
+        return ((str(key), str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -80,7 +84,8 @@ class Histogram:
     by a fixed-seed PRNG so the same observation sequence always keeps the
     same samples), and ``truncated`` flags the summary as approximate.
     Memory is therefore bounded for arbitrarily long runs without biasing
-    percentiles toward the warm-up prefix.
+    percentiles toward the warm-up prefix.  The PRNG is seeded on its
+    first draw, so a histogram that never fills costs no PRNG state.
     """
 
     __slots__ = ("count", "total", "min", "max", "samples", "max_samples",
@@ -93,7 +98,7 @@ class Histogram:
         self.max: Optional[float] = None
         self.samples: List[float] = []
         self.max_samples = max_samples
-        self._rng = random.Random(0x5EED)
+        self._rng: Optional[random.Random] = None
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -103,6 +108,8 @@ class Histogram:
         if len(self.samples) < self.max_samples:
             self.samples.append(value)
         else:
+            if self._rng is None:
+                self._rng = random.Random(0x5EED)
             slot = self._rng.randrange(self.count)
             if slot < self.max_samples:
                 self.samples[slot] = value

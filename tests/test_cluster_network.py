@@ -1,12 +1,17 @@
 """Simulated network: delivery, faults, partitions, payload isolation."""
 
+import enum
+
 import pytest
 
 from repro.cluster.message import Message
 from repro.cluster.network import Network, NetworkConfig
+from repro.colours.colour import Colour
 from repro.errors import ClusterError
+from repro.obs import Observability
 from repro.sim.kernel import Kernel
 from repro.util.rng import SplitRandom
+from repro.util.uid import Uid
 
 
 def make_network(config=None, seed=0):
@@ -32,10 +37,14 @@ def test_message_delivered_within_delay_bounds():
 
 
 def test_send_to_unknown_endpoint_raises():
-    _, network = make_network()
+    kernel = Kernel()
+    obs = Observability(tick_source=lambda: kernel.now)
+    network = Network(kernel, SplitRandom(0), observability=obs)
     network.attach("a", lambda m: None)
     with pytest.raises(ClusterError):
         network.send(Message("a", "ghost", "ping", {}))
+    assert network.sent_count == 0
+    assert obs.metrics.counter("messages_sent_total", kind="ping").value == 0
 
 
 def test_down_endpoint_drops_silently():
@@ -106,6 +115,61 @@ def test_payload_deep_copied_at_send():
     payload["xs"].append(99)
     kernel.run()
     assert inbox[0].payload["xs"] == [1, 2]
+
+
+class Mode(enum.Enum):
+    FAST = 1
+
+
+@pytest.mark.parametrize("payload, culprit", [
+    ({"uid": Uid("n", 1)}, "Uid"),
+    ({"colours": [Colour(Uid("c", 1), "red")]}, "Colour"),
+    ({"mode": Mode.FAST}, "Mode"),
+])
+def test_unencodable_payload_rejected_with_kind_and_type(payload, culprit):
+    kernel, network = make_network()
+    inbox = attach_sink(network, "b")
+    network.attach("a", lambda m: None)
+    with pytest.raises(ClusterError) as raised:
+        network.send(Message("a", "b", "prepare", payload))
+    assert "'prepare'" in str(raised.value)
+    assert culprit in str(raised.value)
+    kernel.run()
+    assert inbox == [] and network.sent_count == 0
+
+
+def test_rejected_payload_consumes_no_fault_draw():
+    """A rejected send never reaches the fault draws (even when it would
+    have been dropped), so the following messages' fates are unchanged."""
+    config = NetworkConfig(drop_probability=0.5, duplicate_probability=0.3)
+
+    def fates(reject_first):
+        kernel, network = make_network(config, seed=9)
+        inbox = attach_sink(network, "b")
+        network.attach("a", lambda m: None)
+        if reject_first:
+            with pytest.raises(ClusterError):
+                network.send(Message("a", "b", "ping", {"uid": Uid("n", 1)}))
+        for i in range(40):
+            network.send(Message("a", "b", "ping", {"i": i}))
+        kernel.run()
+        return sorted(m.payload["i"] for m in inbox), network.stats()
+
+    assert fates(reject_first=True) == fates(reject_first=False)
+
+
+def test_duplicated_copies_are_independent():
+    kernel, network = make_network(
+        NetworkConfig(duplicate_probability=0.999999))
+    inbox = attach_sink(network, "b")
+    network.attach("a", lambda m: None)
+    network.send(Message("a", "b", "data", {"xs": [1, 2], "nested": {"k": 1}}))
+    kernel.run()
+    assert len(inbox) == 2
+    first, second = inbox
+    first.payload["xs"].append(99)
+    first.payload["nested"]["k"] = 2
+    assert second.payload == {"xs": [1, 2], "nested": {"k": 1}}
 
 
 def test_same_seed_same_fault_pattern():

@@ -1,13 +1,16 @@
 """Metrics primitives: counters, gauges, histogram percentiles, dumps."""
 
+import random
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Observability
 from repro.obs.bus import EventBus
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, _labelset
 from repro.runtime import LocalRuntime
 from repro.stdobjects import Counter as CounterObject
 from repro.trace import TraceRecorder
@@ -74,6 +77,66 @@ def test_histogram_sample_cap_keeps_exact_aggregates():
     summary = histogram.summary()
     assert summary["truncated"] is True
     assert summary["count"] == 100
+
+
+class EagerReservoir:
+    """Reference: the reservoir with its PRNG seeded at construction."""
+
+    def __init__(self, max_samples):
+        self.count = 0
+        self.samples = []
+        self.max_samples = max_samples
+        self.rng = random.Random(0x5EED)
+
+    def observe(self, value):
+        self.count += 1
+        if len(self.samples) < self.max_samples:
+            self.samples.append(value)
+        else:
+            slot = self.rng.randrange(self.count)
+            if slot < self.max_samples:
+                self.samples[slot] = value
+
+    def percentile(self, p):
+        ordered = sorted(self.samples)
+        rank = (p / 100.0) * (len(ordered) - 1)
+        low = int(rank)
+        return ordered[low] + (ordered[low + 1] - ordered[low]) * (rank - low)
+
+
+def test_histogram_lazy_reservoir_matches_eager_seeding():
+    histogram = Histogram(max_samples=8)
+    reference = EagerReservoir(max_samples=8)
+    values = random.Random(42)
+    for _ in range(1000):
+        value = values.uniform(-50.0, 50.0)
+        histogram.observe(value)
+        reference.observe(value)
+    assert histogram.samples == reference.samples
+    summary = histogram.summary()
+    assert summary["truncated"] is True
+    assert summary["count"] == 1000
+    assert summary["p50"] == reference.percentile(50)
+    assert summary["p95"] == reference.percentile(95)
+
+
+def test_histogram_below_cap_draws_nothing():
+    histogram = Histogram(max_samples=8)
+    for value in range(8):
+        histogram.observe(float(value))
+    assert histogram._rng is None
+    assert "truncated" not in histogram.summary()
+
+
+label_values = st.one_of(st.text(max_size=6), st.integers(), st.booleans(),
+                         st.floats(allow_nan=True), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), label_values, max_size=4))
+def test_labelset_matches_sorted_form(labels):
+    assert _labelset(labels) == tuple(
+        sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 def test_dump_is_deterministic_and_json_shaped():
@@ -165,6 +228,67 @@ def test_event_bus_isolates_subscriber_errors():
     assert len(seen) == 1
     assert seen[0].kind == "tick"
     assert seen[0].labels["n"] == 1
+
+
+def test_event_bus_fan_out_in_progress_keeps_its_snapshot():
+    """(Un)subscribing during publish takes effect from the next event."""
+    bus = EventBus()
+    seen = []
+
+    def late(event):
+        seen.append(("late", event.kind))
+
+    def doomed(event):
+        seen.append(("doomed", event.kind))
+
+    def rewire(event):
+        seen.append(("rewire", event.kind))
+        if event.kind == "first":
+            bus.subscribe(late)
+            bus.unsubscribe(doomed)
+
+    bus.subscribe(rewire)
+    bus.subscribe(doomed)
+    bus.emit(1.0, "first")
+    bus.emit(2.0, "second")
+    assert seen == [("rewire", "first"), ("doomed", "first"),
+                    ("rewire", "second"), ("late", "second")]
+
+
+def test_event_bus_concurrent_subscribe_loses_no_subscriber():
+    bus = EventBus()
+    hits = []
+    stop = threading.Event()
+
+    def publisher():
+        while not stop.is_set():
+            bus.emit(0.0, "tick")
+
+    def subscriber_thread(base):
+        for i in range(200):
+            tag = base + i
+            bus.subscribe(lambda event, tag=tag:
+                          event.kind == "final" and hits.append(tag))
+
+    pump = threading.Thread(target=publisher)
+    pump.start()
+    workers = [threading.Thread(target=subscriber_thread, args=(k * 1000,))
+               for k in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+        stop.set()
+        pump.join(timeout=30)
+    assert not any(t.is_alive() for t in [pump, *workers])
+    bus.emit(1.0, "final")
+    assert sorted(hits) == sorted(k * 1000 + i for k in range(4)
+                                  for i in range(200))
 
 
 def test_local_runtime_attach_observability():

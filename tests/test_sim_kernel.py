@@ -217,6 +217,28 @@ def test_same_instant_events_fire_fifo():
     assert order == ["a", "b", "c"]
 
 
+def test_same_instant_callbacks_with_arguments_fire_fifo():
+    """Argument-carrying posts (``fn, *args`` in the heap) keep FIFO order,
+    interleaved with bare callbacks, under both run loops."""
+    kernel = Kernel()
+    order = []
+    for label in "abcdef":
+        if label in "ace":
+            kernel.schedule(5, order.append, label)
+        else:
+            kernel.schedule(5, lambda l=label: order.append(l))
+    kernel.schedule(5, order.extend, "gh")
+    kernel.run()
+    assert order == list("abcdefgh")
+
+    done = kernel.event()
+    for label in "xyz":
+        kernel.schedule(1, order.append, label)
+    kernel.schedule(1, done.trigger, "settled")
+    assert kernel.run_until_settled(done) == "settled"
+    assert order[-3:] == ["x", "y", "z"]
+
+
 def test_any_of_reports_winner_index_and_value():
     kernel = Kernel()
     slow, fast = kernel.event(), kernel.event()
